@@ -120,12 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="process workers for the model stage "
                             "(default: --jobs)")
-    serve.add_argument("--lanes", type=_positive_int, default=None,
-                       metavar="N",
-                       help="concurrent worker lanes: micro-batches with "
-                            "different compatibility keys run in parallel "
-                            "(outputs stay bit-identical at any lane "
-                            "count; default: $REPRO_SERVICE_LANES or 1)")
     serve.add_argument("--queue-size", type=_positive_int, default=64,
                        help="bounded request queue depth (backpressure)")
     serve.add_argument("--max-batch", type=_positive_int, default=8,
@@ -157,11 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "saved at shutdown)")
     serve.add_argument("--exec-mode", default="auto",
                        choices=["auto", "serial", "pooled", "packed"],
-                       help="model-stage dispatch policy shared by every "
-                            "lane: 'auto' lets the self-tuning executor "
-                            "pick per micro-batch; forcing a mode never "
-                            "changes outputs ($REPRO_EXEC_MODE overrides "
-                            "'auto')")
+                       help="model-stage dispatch policy: 'auto' lets "
+                            "the self-tuning executor pick per "
+                            "micro-batch; forcing a mode never changes "
+                            "outputs ($REPRO_EXEC_MODE overrides 'auto')")
     serve.add_argument("--tuner-dir", default=None, metavar="DIR",
                        help="persist the executor tuner's cost model and "
                             "the sampler-plan warm cache here across "
@@ -169,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "given)")
     serve.add_argument("--workers", type=_positive_int, default=None,
                        metavar="N",
-                       help="worker *processes*: 2+ fronts a multi-process "
-                            "fleet (sticky key->worker routing, results "
+                       help="worker *processes*, the way to scale out: "
+                            "2+ fronts a multi-process fleet (sticky "
+                            "key->worker routing, results "
                             "kept in global arrival order, crashed "
                             "workers respawned, session snapshots merged "
                             "at drain/shutdown); 1 runs the single-"
@@ -414,7 +408,6 @@ def _cmd_serve(args) -> int:
         model_jobs=(
             args.model_jobs if args.model_jobs is not None else args.jobs
         ),
-        lanes=args.lanes,
         pack_models=not args.no_pack,
         exec_mode=args.exec_mode,
         tuner_dir=(
@@ -458,7 +451,7 @@ def _cmd_serve(args) -> int:
         host, port = server.sockets[0].getsockname()[:2]
         print(f"repro serve: listening on {host}:{port} "
               f"(deck={args.deck}, workers={workers}, jobs={config.jobs}, "
-              f"lanes={config.lanes}, max-batch={args.max_batch})")
+              f"max-batch={args.max_batch})")
         print('protocol: one JSON object per line, e.g. '
               '{"backend": "rule", "count": 8, "seed": 0}')
         gateway = None

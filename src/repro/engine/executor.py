@@ -144,8 +144,8 @@ class PoolRegistry:
     """Lease-managed persistent worker pools, keyed by ``(kind, workers)``.
 
     One registry may back several :class:`BatchExecutor` instances — the
-    service's worker lanes share one, so N lanes over the same deck hold
-    one thread pool and one process pool between them instead of N of
+    service's per-deck executors share one, so N executors hold one
+    thread pool and one process pool between them instead of N of
     each.  Pools are created lazily on first lease and live until
     :meth:`close`; each distinct (kind, size) pair has at most one live
     pool at a time.
@@ -393,8 +393,8 @@ class BatchExecutor:
     call.  By default each executor owns a private :class:`PoolRegistry`
     and ``close()`` (or exiting a ``with`` block) shuts its pools down;
     pass ``pools=`` to share one registry across executors — the
-    service's concurrent worker lanes do this so N lanes hold one pool
-    per (kind, size), not N — in which case ``close()`` leaves the
+    service does this so its per-deck executors hold one pool per
+    (kind, size), not one each — in which case ``close()`` leaves the
     shared pools to their owner.  A closed executor lazily re-creates
     pools if used again.
     """
@@ -412,8 +412,8 @@ class BatchExecutor:
         self.pools = pools if pools is not None else PoolRegistry()
         self._owns_pools = pools is None
         # The mode selector. A private in-memory tuner by default; pass
-        # ``tuner=`` to share one (the service's lanes all consult one
-        # tuner, so every lane's measurements steer every lane).
+        # ``tuner=`` to share one (the service's per-deck executors all
+        # consult one tuner, so every measurement steers every choice).
         self.tuner = tuner if tuner is not None else ExecutionTuner()
         # Per-plan mode override installed by execute() around propose();
         # run_model_batched consults it so the plan's resolved mode

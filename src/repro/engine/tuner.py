@@ -151,11 +151,11 @@ class _ModeStats:
 class ExecutionTuner:
     """Observed-cost execution-mode selection with a persistent store.
 
-    Thread-safe: the service's worker lanes share one tuner, so every
-    lane's measurements steer every other lane's choices.  Constructing
-    with ``store_dir`` loads any persisted measurements immediately
-    (``loaded`` reports how many survived the fingerprint guard) and
-    makes :meth:`save` default to the same directory.
+    Thread-safe: the service's engine thread records measurements while
+    the ``stats`` verb snapshots the store from the event loop.
+    Constructing with ``store_dir`` loads any persisted measurements
+    immediately (``loaded`` reports how many survived the fingerprint
+    guard) and makes :meth:`save` default to the same directory.
     """
 
     def __init__(

@@ -21,6 +21,8 @@ perturbing a single generated pattern.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .tensor import Module, Parameter, kaiming_normal, zeros_init
@@ -43,23 +45,26 @@ __all__ = [
 #: inference mode; sampling uses one full-batch shape plus a tail chunk).
 _MAX_WORKSPACES = 4
 
-#: Shared scratch buffers for inference-mode elementwise temporaries.
-#: Entries live only within a single layer call, so one process-wide pool
-#: is safe for the (single-threaded) inference fast path; the model-stage
-#: fan-out uses process workers for exactly this reason.
-_SCRATCH: dict[tuple, np.ndarray] = {}
+#: Per-thread scratch buffers for inference-mode elementwise temporaries.
+#: Entries live only within a single layer call, and each thread keeps its
+#: own pool (``_SCRATCH.buffers``), so forwards running concurrently on
+#: different threads never share a temporary.
+_SCRATCH = threading.local()
 
 
 def _scratch(shape: tuple[int, ...], dtype, slot: int) -> np.ndarray:
     """A reusable scratch array; ``slot`` disambiguates same-shape buffers
     needed simultaneously within one call."""
+    pool = getattr(_SCRATCH, "buffers", None)
+    if pool is None:
+        pool = _SCRATCH.buffers = {}
     key = (shape, np.dtype(dtype).str, slot)
-    buf = _SCRATCH.get(key)
+    buf = pool.get(key)
     if buf is None:
-        if len(_SCRATCH) >= 64:
-            _SCRATCH.pop(next(iter(_SCRATCH)))
+        if len(pool) >= 64:
+            pool.pop(next(iter(pool)))
         buf = np.empty(shape, dtype=dtype)
-        _SCRATCH[key] = buf
+        pool[key] = buf
     return buf
 
 

@@ -5,20 +5,15 @@ machinery in a long-lived asyncio service:
 
 * :class:`GenerationService` — bounded request queue, a micro-batching
   scheduler that coalesces compatible requests from concurrent clients
-  into shared executor runs, streaming per-request results, and
-  session-scoped library stores with arrival-order merges and periodic
-  snapshot checkpoints;
+  into shared executor runs on one engine thread, streaming per-request
+  results, and session-scoped library stores with arrival-order merges
+  (one commit thread) and periodic snapshot checkpoints;
 * :class:`MicroBatchScheduler` / :class:`SchedulerConfig` — the pure
   coalescing rules (group by compatibility key, arrival order inside a
   batch, priority across batches) plus the cross-request model-batch
   packing plan (:meth:`MicroBatchScheduler.pack`);
-* :class:`LaneManager` / :class:`Lane` — bounded concurrent worker
-  lanes with sticky per-compatibility-key routing and warm per-lane
-  engine state; admissions reconcile through a single ordered commit
-  stage so session stores stay arrival-ordered at any lane count;
-* :class:`LatencyHistogram` / :class:`StageLatencies` /
-  :class:`LaneStats` — per-stage serving latency histograms
-  (:data:`STAGES`), kept globally and per lane, exported by the
+* :class:`LatencyHistogram` / :class:`StageLatencies` — per-stage
+  serving latency histograms (:data:`STAGES`), exported by the
   ``op: "stats"`` verb;
 * :class:`SessionManager` / :class:`SessionConfig` — shared or per-tenant
   stores, snapshot-loaded and checkpointed via :mod:`repro.library`;
@@ -33,11 +28,12 @@ machinery in a long-lived asyncio service:
   gateway (``repro serve --http-port``): ``POST /v1/generate``, polled
   and chunked-streamed results, ``/v1/stats``, ``/v1/healthz``;
 * :class:`FleetService` / :class:`FleetConfig` — the multi-process
-  shard-aware front (``repro serve --workers N``): N forked worker
-  processes each running a full service, sticky key→worker routing,
-  a front-side commit sequencer keeping results in global arrival
-  order, circuit-breaker-gated crash respawn, and drain-time session
-  snapshot reconciliation via the ordered library merge protocol.
+  shard-aware front (``repro serve --workers N``), the one way to scale
+  out: N forked worker processes each running a full service, sticky
+  key→worker routing, a front-side commit sequencer keeping results in
+  global arrival order, circuit-breaker-gated crash respawn, and
+  drain-time session snapshot reconciliation via the ordered library
+  merge protocol.
 
 Typical in-process use::
 
@@ -83,7 +79,6 @@ from .fleet import (
     reconcile_worker_snapshots,
 )
 from .gateway import DEFAULT_MAX_BODY, HttpGateway, serve_http
-from .lanes import Lane, LaneManager
 from .payload import (
     PAYLOAD_MODES,
     AssembledPayload,
@@ -114,7 +109,7 @@ from .service import (
     ServiceStats,
 )
 from .session import SHARED_SESSION, Session, SessionConfig, SessionManager
-from .stats import STAGES, LaneStats, LatencyHistogram, StageLatencies
+from .stats import STAGES, LatencyHistogram, StageLatencies
 
 __all__ = [
     "DEFAULT_LINE_LIMIT",
@@ -136,9 +131,6 @@ __all__ = [
     "GenerationService",
     "HttpGateway",
     "InjectedFault",
-    "Lane",
-    "LaneManager",
-    "LaneStats",
     "LatencyHistogram",
     "MicroBatch",
     "MicroBatchScheduler",

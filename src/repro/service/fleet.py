@@ -1,12 +1,10 @@
 """Multi-process shard-aware serving front: N worker processes, one wire.
 
-One :class:`~repro.service.GenerationService` process tops out at one
-GIL's worth of Python-side scheduling no matter how many lanes it runs.
-:class:`FleetService` breaks that ceiling by spawning ``workers`` child
-*processes* (``fork`` start method), each running a full
-``GenerationService``, and routing requests to them sticky-by-key — the
-same claim discipline :class:`~repro.service.lanes.LaneManager` applies
-to threads, lifted one level up to processes:
+One :class:`~repro.service.GenerationService` process runs one engine
+thread, so it tops out at one GIL's worth of Python-side work.
+:class:`FleetService` is the way to scale out: it spawns ``workers``
+child *processes* (``fork`` start method), each running a full
+``GenerationService``, and routes requests to them sticky-by-key:
 
 * the routing key is the request's session id when it has one, else its
   :meth:`~repro.engine.GenerationRequest.compatibility_key`;
@@ -15,8 +13,7 @@ to threads, lifted one level up to processes:
   so one session's requests land on one worker in arrival order — which
   is exactly the property that makes a session's store deterministic in
   the single-process service, preserved across the process boundary;
-* terminal events pass through a front-side commit sequencer (the
-  cross-process analogue of the service's ``_CommitToken`` heap): every
+* terminal events pass through a front-side commit sequencer: every
   request's result or error is published in *global arrival order*, so
   fleet outputs are bit-identical to a serial
   :func:`~repro.engine.run_generation` pass over the same submission
@@ -47,8 +44,8 @@ worker degrades the fleet instead of fork-bombing the host.  The
 this path deterministically testable.
 
 Workers are daemonic: they cannot spawn process pools of their own
-(``pool="thread"`` and thread lanes work normally), which is the right
-trade — process-level parallelism lives at the fleet layer here.
+(``pool="thread"`` works normally), which is the right trade —
+process-level parallelism lives at the fleet layer here.
 """
 
 from __future__ import annotations
@@ -104,10 +101,9 @@ _ROUTE_STOP = object()
 def default_workers() -> int:
     """Fleet width when ``FleetConfig.workers`` is ``None``.
 
-    ``$REPRO_SERVICE_WORKERS`` when set (and a positive integer), else 2
-    — mirroring ``$REPRO_SERVICE_LANES`` for lanes, so deployments size
-    the fleet without code changes and CI smoke jobs run every test
-    under a multi-worker front by exporting one variable.
+    ``$REPRO_SERVICE_WORKERS`` when set (and a positive integer), else 2,
+    so deployments size the fleet without code changes and CI smoke jobs
+    run every test under a multi-worker front by exporting one variable.
     """
     raw = os.environ.get(WORKERS_ENV)
     if raw:
@@ -136,7 +132,7 @@ class FleetConfig:
     (``breaker_threshold`` failures within ``breaker_window_s`` trip it
     open for ``breaker_cooldown_s``) allows, i.e. by default one respawn
     per crash burst rather than a crash loop.  ``rpc_timeout_s`` bounds
-    the control-plane round trips (stats/health/checkpoint/stop).
+    the control round trips (stats/health/checkpoint/stop).
     """
 
     workers: int | None = None
@@ -455,9 +451,9 @@ class _FleetPending:
 class _CommitSequencer:
     """Publish terminal events strictly in global arrival order.
 
-    The cross-process analogue of the service's ``_CommitToken`` heap:
-    workers resolve requests in their own time, but the front holds each
-    terminal publication until every earlier arrival has published.
+    The serving stack's one reorder buffer: workers resolve requests in
+    their own time (each in its own arrival order), but the front holds
+    each terminal publication until every earlier arrival has published.
     Publications run under the lock — they are ``call_soon_threadsafe``
     handoffs, so this serialises ordering without blocking on work.
     Every assigned arrival index must be released exactly once (worker
@@ -802,8 +798,8 @@ class FleetService:
     def _claim_worker(self, key: tuple) -> _WorkerHandle:
         """Sticky worker for ``key``; LRU claim on first sight.
 
-        The LaneManager discipline one level up: a known key goes back
-        to its worker while that worker lives; an unknown (or orphaned)
+        A known key goes back to its worker while that worker lives (its
+        backend and executor stay warm there); an unknown (or orphaned)
         key claims the least-recently-claimed live worker.  The table is
         bounded (8 keys per worker), evicting least-recently-used keys —
         an evicted key that returns simply re-claims, which is safe
@@ -1053,7 +1049,7 @@ class FleetService:
                 process.terminate()
                 process.join(timeout=5.0)
 
-    # -- control plane ---------------------------------------------------
+    # -- control verbs ---------------------------------------------------
     def _rpc_start(self, handle: _WorkerHandle, verb: str, payload=None):
         seq = next(self._rpc_seq)
         future: concurrent.futures.Future = concurrent.futures.Future()
@@ -1138,13 +1134,11 @@ class FleetService:
     def queue_depths(self) -> dict:
         """Everything queued anywhere, now including the front.
 
-        ``{"submit": N, "in_flight": M, "workers": {id: depth}, "lanes":
-        {}}`` — ``submit`` is the front routing queue (the fleet's
-        analogue of the single-process submit queue, previously
-        invisible), ``in_flight`` every accepted-but-unresolved request
-        fleet-wide, ``workers`` each live worker's forwarded-but-
-        unresolved count.  Worker-internal lane backlogs are on the
-        ``stats`` payload per worker.
+        ``{"submit": N, "in_flight": M, "workers": {id: depth}}`` —
+        ``submit`` is the front routing queue (the fleet's analogue of
+        the single-process submit queue), ``in_flight`` every
+        accepted-but-unresolved request fleet-wide, ``workers`` each live
+        worker's forwarded-but-unresolved count.
         """
         workers = {}
         for worker_id, handle in self._workers.items():
@@ -1157,7 +1151,6 @@ class FleetService:
             "submit": self.queue_depth,
             "in_flight": in_flight,
             "workers": workers,
-            "lanes": {},
         }
 
     def health(self) -> dict:
@@ -1239,10 +1232,9 @@ class FleetService:
         ``completed``/``failed`` are authoritative — they include
         requests that never reached a worker), ``peak_coalesced`` takes
         the max, per-stage histograms merge through
-        :meth:`~repro.service.stats.StageLatencies.merge_snapshot` —
-        the same :class:`~repro.service.stats.LatencyHistogram` merge
-        path lanes use in-process — and each worker's full payload rides
-        along under ``fleet.workers`` for per-process drilldown.
+        :meth:`~repro.service.stats.StageLatencies.merge_snapshot`, and
+        each worker's full payload rides along under ``fleet.workers``
+        for per-process drilldown.
         """
         per_worker = self._broadcast("stats") if self._running else {}
         payloads = {
@@ -1253,7 +1245,7 @@ class FleetService:
         summed = (
             "retries", "deadline_drops", "cancelled", "cycles",
             "micro_batches", "checkpoints", "packed_batches", "packed_jobs",
-            "packed_fallbacks", "lane_count",
+            "packed_fallbacks",
         )
         totals = {key: 0 for key in summed}
         peak = 0
@@ -1305,7 +1297,7 @@ class FleetService:
             "submitted": front["submitted"],
             "completed": front["completed"],
             "failed": front["failed"],
-            **{key: totals[key] for key in summed if key != "lane_count"},
+            **totals,
             "peak_coalesced": peak,
             # Front routing queue + every worker's submit queue: the
             # whole fleet's queued-anywhere gauge.
@@ -1315,7 +1307,6 @@ class FleetService:
                 (float(p.get("pack_fill", 0.0)) for p in payloads.values()),
                 default=0.0,
             ),
-            "lane_count": totals["lane_count"],
             "tuner": tuner,
             # Front-process caches and fault plan (workers report their
             # own under fleet.workers[*].stats) — kept for shape parity
@@ -1326,7 +1317,6 @@ class FleetService:
             },
             "faults": injection_stats(),
             "stages": stages.snapshot(),
-            "lanes": [],
             "fleet": {
                 "worker_count": len(self._workers),
                 "workers_alive": sum(

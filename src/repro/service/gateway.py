@@ -142,7 +142,7 @@ class HttpGateway:
         """Serve one connection: parse, route, respond, close.
 
         One request per connection (the response always carries
-        ``Connection: close``): the gateway is a control plane, and
+        ``Connection: close``): the gateway is a control surface, and
         closing eagerly keeps the fuzz contract simple — any framing
         confusion ends at the connection boundary.
         """

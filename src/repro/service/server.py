@@ -50,6 +50,7 @@ Failure semantics (see ``docs/SERVING.md``):
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import re
 from typing import AsyncIterator
@@ -247,6 +248,14 @@ async def handle_connection(
     forwarders: set[asyncio.Task] = set()
     submitted: dict[str, ResultStream] = {}
 
+    def forwarded(stream: ResultStream, task: asyncio.Task) -> None:
+        forwarders.discard(task)
+        # Forget a resolved stream now rather than at disconnect, so its
+        # result is not held for the connection's lifetime; an
+        # unresolved one stays so a disconnect still cancels it.
+        if stream.done and submitted.get(stream.request_id) is stream:
+            del submitted[stream.request_id]
+
     async def emit(payload: dict) -> None:
         async with write_lock:
             writer.write(json.dumps(payload).encode() + b"\n")
@@ -333,14 +342,14 @@ async def handle_connection(
                 )
             )
             forwarders.add(task)
-            task.add_done_callback(forwarders.discard)
+            task.add_done_callback(functools.partial(forwarded, stream))
         if forwarders:
             await asyncio.gather(*forwarders, return_exceptions=True)
     except ConnectionError:
         pass
     finally:
         # A vanished client's unfinished requests are cancelled so they
-        # stop consuming lane time; finished streams are left alone.
+        # stop consuming engine time; finished streams are left alone.
         for request_id, stream in submitted.items():
             if not stream.done:
                 service.cancel(request_id)

@@ -1,4 +1,4 @@
-"""The asyncio generation service: queue -> scheduler -> worker lanes.
+"""The asyncio generation service: queue -> scheduler -> engine thread.
 
 :class:`GenerationService` turns the one-shot
 :func:`repro.engine.run_generation` machinery into a long-lived server:
@@ -13,59 +13,60 @@
   with a pack-capable backend the model stage samples **chunks from
   different requests as shared full-width model batches**, and the DRC
   stage runs as **one** cached sweep over the whole micro-batch;
-* **concurrent worker lanes** — each micro-batch is routed by its
-  compatibility key to one of a bounded set of
-  :class:`~repro.service.lanes.Lane` worker threads
-  (:class:`~repro.service.lanes.LaneManager`: sticky key→lane routing,
-  LRU lane reuse, per-lane warm backend + executor, pools shared via one
-  :class:`~repro.engine.PoolRegistry`), so **incompatible micro-batches
-  run concurrently** instead of serializing behind one worker;
-* **ordered commit stage** — lanes only run the compute stages; every
-  request's admission then passes through a single commit thread that
-  reconciles results in **global arrival order**, so session stores grow
-  exactly as they would under one lane (and bit-identically to serial
-  :func:`~repro.engine.run_generation` calls — the load-bearing
-  determinism invariant, lane count notwithstanding);
+* **one engine thread** — each gather window is handed whole to a single
+  engine thread that owns the warm engine state (one backend per
+  (name, deck), one executor per deck, worker pools from one
+  :class:`~repro.engine.PoolRegistry`) and serves the window's
+  micro-batches in turn;
+* **commit thread** — the engine thread only runs the compute stages;
+  it then hands the window's requests, sorted by arrival, to a commit
+  thread that admits them in that order, so session stores grow exactly
+  as they would under serial :func:`~repro.engine.run_generation` calls
+  (the load-bearing determinism invariant) while admission overlaps the
+  next window's compute.  Scaling out is the fleet's job
+  (:class:`~repro.service.fleet.FleetService`, ``repro serve --workers``);
 * **streaming results** — each request's proposal is streamed back as
   :class:`~repro.engine.CandidateBatch` chunks, followed by the final
   :class:`~repro.engine.GenerationBatch`;
 * **per-stage latency histograms** — every request's ``queue``,
   ``gather``, ``model``, ``drc`` and ``admit`` latencies are filed into
-  :class:`~repro.service.stats.StageLatencies` histograms, globally and
-  per lane, exported by the ``op: "stats"`` TCP verb so lane saturation
-  is visible rather than guessed (see ``docs/SERVING.md``).
+  :class:`~repro.service.stats.StageLatencies` histograms, exported by
+  the ``op: "stats"`` TCP verb (see ``docs/SERVING.md``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import heapq
 import os
 import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import AsyncIterator
+from typing import AsyncIterator, Callable
 
 import numpy as np
 
 from ..engine import (
+    BatchExecutor,
     CandidateBatch,
     ExecutionPlan,
     ExecutionTuner,
+    ExecutorConfig,
     GenerationBatch,
     GenerationRequest,
+    GeneratorBackend,
+    PoolRegistry,
     RetryPolicy,
     StageTimings,
+    deck_key,
     get_backend,
     resolve_exec_mode,
 )
 from ..engine.tuner import TunerDecision, pow2_bucket
 from .faults import maybe_fire, protected
-from .lanes import Lane, LaneManager
 from .scheduler import MicroBatch, MicroBatchScheduler, PendingRequest, SchedulerConfig
 from .session import SessionConfig, SessionManager
-from .stats import LaneStats, StageLatencies
+from .stats import StageLatencies
 
 __all__ = [
     "DeadlineExceeded",
@@ -92,11 +93,7 @@ class RequestCancelled(RuntimeError):
     or :meth:`GenerationService.cancel`) before it completed."""
 
 _DONE = object()  # chunk-queue sentinel: no more chunks
-_COMMIT_STOP = object()  # commit-queue sentinel: flush and exit
-
-#: Environment override for the default lane count (``ServiceConfig.lanes``
-#: left unset).  CI smoke jobs use it to exercise the multi-lane path.
-LANES_ENV = "REPRO_SERVICE_LANES"
+_STOP = object()  # engine/commit-queue sentinel: finish queued work, exit
 
 
 def _split_by_share(total: int, sizes: list[int]) -> list[int]:
@@ -117,34 +114,15 @@ def _split_by_share(total: int, sizes: list[int]) -> list[int]:
     return out
 
 
-def _default_lanes() -> int:
-    """The lane count when the config leaves it unset: env var or 1."""
-    raw = os.environ.get(LANES_ENV)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        lanes = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{LANES_ENV} must be a positive integer, got {raw!r}"
-        ) from None
-    return lanes
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Service-level knobs.
 
     ``queue_size`` bounds the request queue (submission awaits when
-    full).  ``jobs``/``pool``/``model_jobs`` configure the per-lane
-    executors exactly like :func:`repro.engine.run_generation`'s
+    full).  ``jobs``/``pool``/``model_jobs`` configure the engine
+    thread's executors exactly like :func:`repro.engine.run_generation`'s
     parameters, so a service-served request is bit-identical to a serial
-    one.  ``lanes`` is the worker-lane count: micro-batches with
-    different compatibility keys run concurrently on up to ``lanes``
-    threads, while admissions stay globally arrival-ordered through the
-    commit stage — lane count changes wall-clock, never outputs.  Left
-    unset (``None``) it resolves from ``$REPRO_SERVICE_LANES``, else 1.
-    ``stream_chunk`` is the number of candidates per streamed
+    one.  ``stream_chunk`` is the number of candidates per streamed
     :class:`~repro.engine.CandidateBatch` chunk.  ``pack_models``
     enables cross-request model-batch packing for micro-batches whose
     backend supports it (``pack_jobs``/``pack_model_fn``); packing only
@@ -168,7 +146,6 @@ class ServiceConfig:
     jobs: int = 1
     pool: str = "thread"
     model_jobs: int = 1
-    lanes: int | None = None
     stream_chunk: int = 32
     pack_models: bool = True
     exec_mode: str | None = None
@@ -190,13 +167,9 @@ class ServiceConfig:
             raise ValueError("jobs and model_jobs must be positive")
         if self.stream_chunk < 1:
             raise ValueError("stream_chunk must be positive")
-        if self.lanes is None:
-            object.__setattr__(self, "lanes", _default_lanes())
-        if self.lanes < 1:
-            raise ValueError("lanes must be positive")
         # Resolve once at construction (explicit mode wins, else the
-        # $REPRO_EXEC_MODE escape, else "auto") so every lane and every
-        # per-lane pipeline executor sees one consistent mode.
+        # $REPRO_EXEC_MODE escape, else "auto") so every executor sees
+        # one consistent mode.
         object.__setattr__(
             self, "exec_mode", resolve_exec_mode(self.exec_mode)
         )
@@ -209,18 +182,15 @@ class ServiceStats:
     Counters are cumulative; cross-thread increments are serialized by
     the service's stats lock.  The gauges describe *current* state
     rather than history: ``queue_depth`` is the submit-queue depth when
-    the latest cycle was dispatched (per-lane backlogs live in
-    ``lanes[*].depth`` — one global gauge would lie once lanes exist),
-    and ``last_pack_fill`` is the fill ratio of the latest packed model
-    stage (packed jobs / packed slots; 0.0 until something packs).
+    the latest cycle was dispatched, and ``last_pack_fill`` is the fill
+    ratio of the latest packed model stage (packed jobs / packed slots;
+    0.0 until something packs).
 
-    ``stages`` holds the service-wide per-stage latency histograms
-    (``queue``/``gather``/``model``/``drc``/``admit``) and ``lanes``
-    maps lane id to that lane's :class:`~repro.service.stats.LaneStats`
-    (its own counters, backlog gauge and stage histograms).  All of it
-    is exported over the wire by the ``op: "stats"`` verb (see
-    ``docs/SERVING.md``) so a load balancer can see saturation per lane
-    without scraping logs.
+    ``stages`` holds the per-stage latency histograms
+    (``queue``/``gather``/``model``/``drc``/``admit``).  All of it is
+    exported over the wire by the ``op: "stats"`` verb (see
+    ``docs/SERVING.md``) so a load balancer can see saturation without
+    scraping logs.
     """
 
     submitted: int = 0
@@ -253,26 +223,119 @@ class ServiceStats:
     tuner_exploits: int = 0
     tuner_forced: int = 0
     stages: StageLatencies = field(default_factory=StageLatencies)
-    lanes: dict[int, LaneStats] = field(default_factory=dict)
 
 
-@dataclass(order=True)
+@dataclass
 class _CommitToken:
-    """One request's entry in the ordered commit stage.
+    """One request's entry in the commit stage.
 
-    Lanes emit exactly one token per request they were handed —
-    ``ready`` carries the staged results awaiting admission, ``None``
-    marks a request that already failed (its error was delivered on the
-    lane) and only needs its arrival slot released.  Tokens are ordered
-    by arrival index; the commit thread admits strictly in that order.
-    ``pending`` is always set: the commit stage uses it to release the
-    request from the live (cancellable) registry exactly once.
+    Every dispatched request gets exactly one token — ``ready`` carries
+    the staged results awaiting admission, ``None`` marks a request that
+    already failed (its error was delivered) and only needs its
+    in-flight slot released.  ``pending`` is always set: the commit
+    stage uses it to release the request from the live (cancellable)
+    registry exactly once.
     """
 
-    arrival: int
-    lane: "Lane | None" = field(compare=False, default=None)
-    ready: "tuple | None" = field(compare=False, default=None)
-    pending: "PendingRequest | None" = field(compare=False, default=None)
+    pending: PendingRequest
+    ready: "tuple | None" = None
+
+
+class _EngineState:
+    """The engine thread's warm state.
+
+    One long-lived backend per (name, deck) — a model loads once — and
+    one :class:`~repro.engine.BatchExecutor` per deck, every executor
+    drawing its worker pools from one :class:`~repro.engine.PoolRegistry`
+    (so pool rebuilds and circuit breakers are service-wide).  Only the
+    engine thread builds entries; the commit thread reuses the executor
+    a token carries.
+    """
+
+    def __init__(
+        self,
+        config: ServiceConfig,
+        tuner: ExecutionTuner,
+        backend_factory: Callable = get_backend,
+    ):
+        self.pools = PoolRegistry()
+        self._config = config
+        self._tuner = tuner
+        self._backend_factory = backend_factory
+        self._backends: dict[tuple, GeneratorBackend] = {}
+        self._executors: dict[tuple, BatchExecutor] = {}
+
+    def backend_for(self, request: GenerationRequest) -> GeneratorBackend:
+        """The long-lived backend for this request (built once).
+
+        Backends that accept ``jobs``/``model_jobs``/``exec_mode``/
+        ``tuner`` get the service's worker config, execution mode and
+        shared :class:`~repro.engine.ExecutionTuner` forwarded, so a
+        1-request micro-batch samples with the same parallelism and mode
+        policy as everything else; worker counts and dispatch modes
+        never change seeded outputs (rng.spawn discipline), so this is
+        purely a throughput knob.
+        """
+        name, request_deck_key, _, _ = request.compatibility_key()
+        key = (name, request_deck_key)
+        backend = self._backends.get(key)
+        if backend is not None:
+            return backend
+        cfg = self._config
+        kwargs = {"deck": request.deck} if request.deck is not None else {}
+        parallel = (
+            {"jobs": cfg.jobs, "model_jobs": cfg.model_jobs}
+            if cfg.jobs > 1 or cfg.model_jobs > 1 else {}
+        )
+        # Richest signature first; factories that take worker counts but
+        # not the tuner kwargs still deserve the parallelism config.
+        attempts = [
+            {**parallel, "exec_mode": cfg.exec_mode, "tuner": self._tuner}
+        ]
+        if parallel:
+            attempts.append(parallel)
+        for extra in attempts:
+            try:
+                backend = self._backend_factory(name, **kwargs, **extra)
+                break
+            except TypeError:  # factory without these kwargs
+                continue
+        else:
+            backend = self._backend_factory(name, **kwargs)
+        self._backends[key] = backend
+        return backend
+
+    def executor_for(self, deck) -> BatchExecutor:
+        """The warm executor for this deck (pools from the shared registry)."""
+        key = deck_key(deck)
+        executor = self._executors.get(key)
+        if executor is None:
+            cfg = self._config
+            executor = BatchExecutor(
+                deck.engine(),
+                ExecutorConfig(
+                    jobs=cfg.jobs,
+                    pool=cfg.pool,
+                    model_jobs=cfg.model_jobs,
+                    exec_mode=cfg.exec_mode,
+                ),
+                pools=self.pools,
+                tuner=self._tuner,
+            )
+            self._executors[key] = executor
+        return executor
+
+    def close(self) -> None:
+        """Release backends and executors, then close the shared pools."""
+        for executor in self._executors.values():
+            executor.close()
+        for backend in self._backends.values():
+            close = getattr(backend, "close", None)
+            if callable(close):
+                close()
+        self._executors.clear()
+        self._backends.clear()
+        self.pools.close()
 
 
 class ResultStream:
@@ -385,10 +448,14 @@ class GenerationService:
         self.sessions = session_manager or SessionManager(self.config.sessions)
         self.stats = ServiceStats()
         self._backend_factory = backend_factory
-        self.lanes: LaneManager | None = None
-        # One shared ExecutionTuner: every lane's model stages consult
-        # (and feed) the same cost model.  Built on start(), loading any
-        # persisted measurements from config.tuner_dir; saved on stop().
+        # The engine thread, its queue of gather windows and its warm
+        # state, built on start().
+        self._engine: _EngineState | None = None
+        self._engine_queue: queue_module.Queue | None = None
+        self._engine_thread: threading.Thread | None = None
+        # The ExecutionTuner every model stage consults (and feeds).
+        # Built on start(), loading any persisted measurements from
+        # config.tuner_dir; saved on stop().
         self.tuner: ExecutionTuner | None = None
         self._stats_lock = threading.Lock()
         self._queue: asyncio.Queue[PendingRequest] | None = None
@@ -396,12 +463,12 @@ class GenerationService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._submit_lock: asyncio.Lock | None = None
         self._arrival = 0
-        # Ordered commit stage: lanes push one token per request; the
-        # commit thread admits strictly by arrival index.
+        # Commit stage: the engine thread pushes one token per request,
+        # in arrival order; the commit thread admits them FIFO.
         self._commit_queue: queue_module.Queue | None = None
         self._commit_thread: threading.Thread | None = None
-        # Dispatch backpressure: requests handed to lanes but not yet
-        # committed; the gather loop pauses above the in-flight limit.
+        # Dispatch backpressure: requests handed to the engine thread but
+        # not yet committed; the gather loop pauses above the limit.
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._dispatch_event: asyncio.Event | None = None
@@ -427,28 +494,21 @@ class GenerationService:
         """Requests currently waiting in the global submit queue."""
         return self._queue.qsize() if self._queue is not None else 0
 
-    def queue_depths(self) -> dict:
-        """Everything queued anywhere: the submit queue plus lane backlogs.
+    @property
+    def pools(self) -> PoolRegistry | None:
+        """The engine thread's worker-pool registry (``None`` when stopped)."""
+        return self._engine.pools if self._engine is not None else None
 
-        ``{"submit": N, "in_flight": M, "lanes": {lane_id: depth}}`` —
-        ``submit`` is the global bounded queue, ``lanes`` the per-lane
-        backlogs (dispatched, not yet finished by the lane), and
-        ``in_flight`` the dispatched-but-uncommitted total.  One number
-        would lie under lanes; three tell the saturation story.
+    def queue_depths(self) -> dict:
+        """Everything queued anywhere: ``{"submit": N, "in_flight": M}``.
+
+        ``submit`` is the bounded submit queue and ``in_flight`` the
+        dispatched-but-uncommitted total.
         """
-        with self._stats_lock:
-            lanes = {
-                lane_id: stats.depth
-                for lane_id, stats in self.stats.lanes.items()
-            }
-        return {
-            "submit": self.queue_depth,
-            "in_flight": self._inflight,
-            "lanes": lanes,
-        }
+        return {"submit": self.queue_depth, "in_flight": self._inflight}
 
     async def start(self) -> "GenerationService":
-        """Start the scheduler loop, lanes and commit stage (idempotent)."""
+        """Start the scheduler loop, engine and commit threads (idempotent)."""
         if self.running:
             return self
         self._loop = asyncio.get_running_loop()
@@ -461,7 +521,6 @@ class GenerationService:
             self._cancelled.clear()
         self._draining = False
         cfg = self.config
-        self.stats.lanes.clear()
         self.tuner = ExecutionTuner(store_dir=cfg.tuner_dir)
         if cfg.tuner_dir is not None:
             # The tuner dir doubles as the warm-start home for the
@@ -470,16 +529,12 @@ class GenerationService:
             from ..diffusion.plan import configure_plan_cache
 
             configure_plan_cache(cfg.tuner_dir)
-        self.lanes = LaneManager(
-            cfg.lanes,
-            jobs=cfg.jobs,
-            pool=cfg.pool,
-            model_jobs=cfg.model_jobs,
-            exec_mode=cfg.exec_mode,
-            tuner=self.tuner,
-            backend_factory=self._backend_factory,
-            stats=self.stats.lanes,
+        self._engine = _EngineState(cfg, self.tuner, self._backend_factory)
+        self._engine_queue = queue_module.Queue()
+        self._engine_thread = threading.Thread(
+            target=self._engine_loop, name="repro-service-engine", daemon=True
         )
+        self._engine_thread.start()
         self._commit_queue = queue_module.Queue()
         self._commit_thread = threading.Thread(
             target=self._commit_loop, name="repro-service-commit", daemon=True
@@ -491,8 +546,8 @@ class GenerationService:
     async def stop(self, *, checkpoint: bool = True) -> None:
         """Drain and shut down (idempotent).
 
-        In-flight micro-batches finish on their lanes and commit (their
-        streams resolve); requests still queued fail with
+        Dispatched gather windows finish on the engine thread and commit
+        (their streams resolve); requests still queued fail with
         ``RuntimeError``.  Sessions with snapshot directories take a
         final checkpoint unless ``checkpoint=False``.
         """
@@ -504,14 +559,16 @@ class GenerationService:
                 await task
             except asyncio.CancelledError:
                 pass
-        # Lanes drain first (every dispatched micro-batch emits its
-        # commit tokens), then the commit thread flushes and exits.
-        lanes, self.lanes = self.lanes, None
-        if lanes is not None:
-            await loop.run_in_executor(None, lanes.drain)
+        # The engine thread drains first (every dispatched window emits
+        # its commit tokens), then the commit thread flushes and exits.
+        engine_thread, self._engine_thread = self._engine_thread, None
+        if engine_thread is not None:
+            self._engine_queue.put(_STOP)
+            await loop.run_in_executor(None, engine_thread.join)
+        self._engine_queue = None
         commit_thread, self._commit_thread = self._commit_thread, None
         if commit_thread is not None:
-            self._commit_queue.put(_COMMIT_STOP)
+            self._commit_queue.put(_STOP)
             await loop.run_in_executor(None, commit_thread.join)
         self._commit_queue = None
         if self._queue is not None:
@@ -523,9 +580,10 @@ class GenerationService:
             self._cancelled.clear()
         if checkpoint:
             self.stats.checkpoints += len(self.sessions.checkpoint_all())
-        if lanes is not None:
+        engine, self._engine = self._engine, None
+        if engine is not None:
             # After the commit stage: admissions lease executor pools.
-            await loop.run_in_executor(None, lanes.close)
+            await loop.run_in_executor(None, engine.close)
         if self.tuner is not None and self.config.tuner_dir is not None:
             # Persist what this run learned, so the next process exploits
             # instead of re-exploring (the restart warm-start story).
@@ -566,7 +624,7 @@ class GenerationService:
         if session is not None:
             # Syntax-check the id here (bad ids fail the submit); the
             # store itself — possibly a large snapshot load — is
-            # materialised lazily on a lane thread, never on the
+            # materialised lazily on the engine thread, never on the
             # event loop.
             self.sessions.validate_id(session)
         stream = ResultStream(request, self._loop)
@@ -589,7 +647,7 @@ class GenerationService:
             )
             self._arrival += 1
             # Register as live *before* the enqueue: once the queue holds
-            # the entry a lane (or the commit thread) may finish it at
+            # the entry the engine (or commit) thread may finish it at
             # any moment, and its release must find the registration.
             with self._live_lock:
                 self._live[request.request_id] = pending
@@ -648,22 +706,21 @@ class GenerationService:
         return None
 
     def _fail_request(
-        self,
-        pending: PendingRequest,
-        error: BaseException,
-        lane: "Lane | None" = None,
+        self, pending: PendingRequest, error: BaseException
     ) -> None:
         """Deliver a terminal error (any thread; done-guarded counters)."""
         if not pending.stream.done:
-            with self._stats_lock:
-                self.stats.failed += 1
-                if isinstance(error, DeadlineExceeded):
-                    self.stats.deadline_drops += 1
-                elif isinstance(error, RequestCancelled):
-                    self.stats.cancelled += 1
-                if lane is not None:
-                    lane.stats.failures += 1
+            self._count_failure(error)
         self._publish(pending.stream, ResultStream._deliver_error, error)
+
+    def _count_failure(self, error: BaseException) -> None:
+        """File a terminal error under ``failed`` (and its kind)."""
+        with self._stats_lock:
+            self.stats.failed += 1
+            if isinstance(error, DeadlineExceeded):
+                self.stats.deadline_drops += 1
+            elif isinstance(error, RequestCancelled):
+                self.stats.cancelled += 1
 
     async def drain(self, timeout: "float | None" = None) -> bool:
         """Refuse new submissions and await in-flight completion.
@@ -698,8 +755,8 @@ class GenerationService:
         """
         breakers: list[dict] = []
         rebuilds = 0
-        if self.lanes is not None:
-            registry = self.lanes.pools
+        registry = self.pools
+        if registry is not None:
             breakers = registry.breakers.snapshot()
             rebuilds = registry.rebuilds
         degraded = any(entry.get("state") == "open" for entry in breakers)
@@ -763,7 +820,6 @@ class GenerationService:
             "packed_jobs": stats.packed_jobs,
             "packed_fallbacks": stats.packed_fallbacks,
             "pack_fill": round(stats.last_pack_fill, 4),
-            "lane_count": len(stats.lanes),
             # Self-tuning executor: per-mode decision counts (explore =
             # tuner-store miss, exploit = store hit) plus the shared
             # tuner's store state, and the warm-start cache counters.
@@ -785,13 +841,8 @@ class GenerationService:
             # {"installed": false} in normal operation).
             "faults": injection_stats(),
             # Per-stage latency histograms (queue/gather/model/drc/
-            # admit), service-wide and per lane; see docs/SERVING.md
-            # for the bucket format.
+            # admit); see docs/SERVING.md for the bucket format.
             "stages": stats.stages.snapshot(),
-            "lanes": [
-                stats.lanes[lane_id].snapshot()
-                for lane_id in sorted(stats.lanes)
-            ],
         }
 
     # ------------------------------------------------------------------
@@ -859,17 +910,18 @@ class GenerationService:
             self._dispatch(batch)
 
     def _dispatch(self, batch: list[PendingRequest]) -> None:
-        """Route one gather window's requests onto lanes (loop thread)."""
+        """Hand one gather window to the engine thread (loop thread)."""
         # compatibility_key() evaluates user-supplied fields (deck,
         # params reprs); a poisoned request must fail alone — not
         # its co-arriving neighbours, and never the scheduler loop.
         with self._inflight_lock:
             self._inflight += len(batch)
         healthy = []
+        failed = []
         for pending in batch:
             # Dequeue-time boundary: a request already cancelled, or
             # whose deadline passed while it queued, is dropped before
-            # it costs a lane anything.
+            # it costs the engine anything.
             error = self._boundary_error(pending)
             if error is None:
                 try:
@@ -878,11 +930,8 @@ class GenerationService:
                     error = bad
             if error is not None:
                 self._fail_request(pending, error)
-                # Release the arrival slot: the commit stage must not
-                # wait forever on a request no lane will ever serve.
-                self._commit_queue.put(
-                    _CommitToken(pending.arrival, pending=pending)
-                )
+                # Its token still releases the in-flight slot.
+                failed.append(_CommitToken(pending))
             else:
                 healthy.append(pending)
         micro_batches = self.scheduler.coalesce(healthy)
@@ -891,65 +940,69 @@ class GenerationService:
         self.stats.queue_depth = self._queue.qsize()
         self.stats.cycles += 1
         now = time.perf_counter()
-        for micro in micro_batches:
-            lane = self.lanes.lane_for(micro.key)
-            with self._stats_lock:
-                lane.stats.depth += len(micro)
-            for entry in micro.entries:
-                queued = max(0.0, entry.dequeued_at - entry.submitted_at)
-                gathered = max(0.0, now - entry.dequeued_at)
-                self.stats.stages.observe("queue", queued)
-                self.stats.stages.observe("gather", gathered)
-                lane.stats.stages.observe("queue", queued)
-                lane.stats.stages.observe("gather", gathered)
-            lane.submit(self._lane_serve, lane, micro)
+        for pending in healthy:
+            self.stats.stages.observe(
+                "queue", max(0.0, pending.dequeued_at - pending.submitted_at)
+            )
+            self.stats.stages.observe(
+                "gather", max(0.0, now - pending.dequeued_at)
+            )
+        self._engine_queue.put((failed, micro_batches))
 
     # ------------------------------------------------------------------
-    # Lane execution (lane-thread side)
+    # Engine thread
     # ------------------------------------------------------------------
     def _publish(self, stream: ResultStream, method, payload) -> None:
         self._loop.call_soon_threadsafe(method.__get__(stream), payload)
 
-    def _lane_serve(self, lane: Lane, micro: MicroBatch) -> None:
-        """Serve one micro-batch on its lane, then emit commit tokens.
+    def _engine_loop(self) -> None:
+        """Serve gather windows in dispatch order until stopped."""
+        while (window := self._engine_queue.get()) is not _STOP:
+            self._serve_window(*window)
 
-        Every request the micro-batch carried emits **exactly one**
-        token — ``ready`` results await ordered admission, failures
-        (already delivered on this thread) release their arrival slot —
-        so a crash anywhere in the lane stages can never stall the
-        commit order other lanes' requests are waiting on.
+    def _serve_window(
+        self, tokens: list[_CommitToken], micro_batches: list[MicroBatch]
+    ) -> None:
+        """Serve a gather window's micro-batches, then queue its commits.
+
+        The scheduler groups a window by compatibility key, so serving
+        it micro-batch by micro-batch finishes requests out of arrival
+        order; sorting the window's tokens before queueing them — and
+        windows being served FIFO — is what lets the commit thread
+        admit in plain FIFO order.
         """
-        t0 = time.perf_counter()
+        for micro in micro_batches:
+            tokens.extend(self._lane_serve(self._engine, micro))
+        tokens.sort(key=lambda token: token.pending.arrival)
+        for token in tokens:
+            self._commit_queue.put(token)
+
+    # perfbench/tracer.py wraps _lane_serve and _commit_one by name.
+    def _lane_serve(
+        self, engine_state: _EngineState, micro: MicroBatch
+    ) -> list[_CommitToken]:
+        """Serve one micro-batch; one commit token per request it carried.
+
+        ``ready`` results await admission; failures (already delivered
+        on this thread) carry no results, so a crash anywhere in the
+        compute stages can never stall the requests behind it.
+        """
         with self._stats_lock:
             self.stats.micro_batches += 1
             self.stats.peak_coalesced = max(
                 self.stats.peak_coalesced, len(micro)
             )
-            lane.stats.micro_batches += 1
-            lane.stats.requests += len(micro)
         ready: list[tuple] = []
         try:
-            ready = self._run_micro_batch(micro, lane)
-        except Exception as error:  # noqa: BLE001 - lane must survive
+            ready = self._run_micro_batch(micro, engine_state)
+        except Exception as error:  # noqa: BLE001 - engine must survive
             for pending in micro.entries:
-                self._fail_request(pending, error, lane)
-        finally:
-            with self._stats_lock:
-                lane.stats.busy_seconds += time.perf_counter() - t0
-                lane.stats.depth -= len(micro)
-            staged = {id(item[0]) for item in ready}
-            for item in ready:
-                self._commit_queue.put(
-                    _CommitToken(
-                        item[0].arrival, lane=lane, ready=item,
-                        pending=item[0],
-                    )
-                )
-            for pending in micro.entries:
-                if id(pending) not in staged:
-                    self._commit_queue.put(
-                        _CommitToken(pending.arrival, lane=lane, pending=pending)
-                    )
+                self._fail_request(pending, error)
+        staged = {id(item[0]): item for item in ready}
+        return [
+            _CommitToken(pending, staged.get(id(pending)))
+            for pending in micro.entries
+        ]
 
     def _choose_model_mode(self, executor, prepared, micro) -> TunerDecision:
         """Pick this micro-batch's model-stage dispatch mode.
@@ -957,7 +1010,7 @@ class GenerationService:
         The micro-batch-level alternatives are **packed** (one shared
         model stage across requests, when the backend supports it and at
         least two requests coalesced) versus **per-request** execution —
-        labelled ``pooled`` or ``serial`` by the lane's model-pooling
+        labelled ``pooled`` or ``serial`` by the executor's model-pooling
         capability; the per-chunk serial/pooled choice *inside* a
         per-request stage is tuned separately at the engine level under
         its own ``model`` signature.  Under ``exec_mode="auto"`` the
@@ -1113,7 +1166,7 @@ class GenerationService:
                 on_retry=on_retry,
             )
 
-    def _run_micro_batch(self, micro: MicroBatch, lane: Lane):
+    def _run_micro_batch(self, micro: MicroBatch, engine: _EngineState):
         """Model stage (packed when possible) + denoise per request, then
         one DRC sweep; no admission (the commit stage owns that)."""
         prepared: list[tuple[PendingRequest, ExecutionPlan]] = []
@@ -1122,21 +1175,21 @@ class GenerationService:
             request = pending.request
             boundary = self._boundary_error(pending)
             if boundary is not None:
-                # Dropped at the lane's entry boundary: the finally
-                # block in _lane_serve emits its skip token.
-                self._fail_request(pending, boundary, lane)
+                # Dropped at the engine's entry boundary; it still
+                # gets its (empty) commit token.
+                self._fail_request(pending, boundary)
                 continue
             try:
-                backend = lane.backend_for(request)
+                backend = engine.backend_for(request)
                 deck = request.deck if request.deck is not None else backend.deck
-                executor = lane.executor_for(deck)
+                executor = engine.executor_for(deck)
                 library = None
                 if pending.session_id is not None:
                     library = self.sessions.get(pending.session_id).store
                 plan = executor.plan(request, backend=backend, library=library)
                 prepared.append((pending, plan))
             except Exception as error:  # noqa: BLE001 - surfaced per request
-                self._fail_request(pending, error, lane)
+                self._fail_request(pending, error)
         if not prepared:
             return []
 
@@ -1169,7 +1222,7 @@ class GenerationService:
             if boundary is not None:
                 # Model-stage boundary: cancelled / expired between plan
                 # and sampling.
-                self._fail_request(pending, boundary, lane)
+                self._fail_request(pending, boundary)
                 continue
             try:
                 t_model = time.perf_counter()
@@ -1194,16 +1247,15 @@ class GenerationService:
                     else time.perf_counter() - t_model
                 ) + denoise_seconds
                 self.stats.stages.observe("model", model_seconds)
-                lane.stats.stages.observe("model", model_seconds)
                 staged.append((pending, plan, clips, denoise_seconds))
             except Exception as error:  # noqa: BLE001 - surfaced per request
-                self._fail_request(pending, error, lane)
+                self._fail_request(pending, error)
         if not staged:
             return []
         if not packed:
             # Per-request sampling ran (chosen, forced, or the fallback
             # after a packed-stage failure): attribute its seconds to the
-            # lane's per-request capability label so future decisions
+            # per-request capability label so future decisions
             # compare it against packed on real measurements.
             per_request = (
                 "pooled" if executor.config.model_jobs > 1 else "serial"
@@ -1231,7 +1283,7 @@ class GenerationService:
                 )
         except Exception as error:  # noqa: BLE001 - fail the whole batch
             for pending, _, _, _ in staged:
-                self._fail_request(pending, error, lane)
+                self._fail_request(pending, error)
             return []
         # Attribute the sweep's cache traffic by candidate share, so a
         # request's batch reports its own traffic, not the whole sweep's.
@@ -1249,7 +1301,6 @@ class GenerationService:
             offset += len(clips)
             drc_share = drc_seconds * (len(clips) / total)
             self.stats.stages.observe("drc", drc_share)
-            lane.stats.stages.observe("drc", drc_share)
             timings = StageTimings(
                 denoise_seconds=denoise_seconds,
                 # The shared sweep's cost, attributed by candidate share.
@@ -1261,103 +1312,69 @@ class GenerationService:
         return out
 
     # ------------------------------------------------------------------
-    # Ordered commit stage (commit-thread side)
+    # Commit stage (commit-thread side)
     # ------------------------------------------------------------------
     def _commit_loop(self) -> None:
-        """Admit lane results strictly by arrival index.
-
-        Lanes finish out of order; this thread buffers their tokens in a
-        heap and only commits the next expected arrival, so session
-        stores grow in **global arrival order** — exactly as the
-        single-worker service admitted, whatever the lane count.  Every
-        dequeued request emits exactly one token (ready or skip), and
-        dequeueing itself is FIFO by arrival, so the expected index can
-        never be skipped over.  On shutdown (sentinel) any buffered
-        tokens flush in arrival order regardless of gaps.
-        """
-        heap: list[_CommitToken] = []
-        next_expected = 0
-        while True:
-            token = self._commit_queue.get()
-            if token is _COMMIT_STOP:
-                break
-            heapq.heappush(heap, token)
-            while heap and heap[0].arrival == next_expected:
-                next_expected += 1
-                self._commit_one(heapq.heappop(heap))
-        while heap:
-            self._commit_one(heapq.heappop(heap))
+        """Admit engine results in the order the engine thread queued
+        them — arrival order (see :meth:`_serve_window`)."""
+        while (token := self._commit_queue.get()) is not _STOP:
+            self._commit_one(token)
 
     def _commit_one(self, token: _CommitToken) -> None:
         """Admit one request's results (or release a failed slot)."""
-        released = False
+        pending = token.pending
+        outcome = None
         try:
-            if token.ready is None:
-                return
-            pending, executor, plan, clips, legal, timings, hits, misses = (
-                token.ready
-            )
-            # Last boundary check: a request cancelled (or expired) while
-            # it sat in the commit heap is dropped *before* admission —
-            # nothing of it reaches the session store.
-            boundary = self._boundary_error(pending)
-            if boundary is not None:
-                self._fail_request(pending, boundary, token.lane)
-                released = True
-                self._committed()
-                return
-            t0 = time.perf_counter()
-            batch, error = None, None
-            try:
-                # Narrow protected() scope: the admit site is covered
-                # (errors here are contained to this request), but the
-                # session checkpoint below is not — an env-scoped
-                # snapshot fault must not fail an unrelated request.
-                with protected():
-                    maybe_fire("admit")
-                legal_clips = [c for c, ok in zip(clips, legal) if ok]
-                admitted = sum(executor.admit_batch(plan.library, legal_clips))
-                batch = executor.assemble(
-                    plan, clips, legal, admitted, timings,
-                    cache_hits=hits, cache_misses=misses,
-                )
-                if pending.session_id is not None:
-                    session = self.sessions.get(pending.session_id)
-                    if session.record_batch() is not None:
-                        with self._stats_lock:
-                            self.stats.checkpoints += 1
-            except Exception as err:  # noqa: BLE001 - surfaced per request
-                error = err
-            # Count, observe and release the in-flight slot before
-            # publishing: a client that has seen its result must also
-            # see it reflected in the stats and gauges.
-            admit_seconds = time.perf_counter() - t0
-            self.stats.stages.observe("admit", admit_seconds)
-            if token.lane is not None:
-                token.lane.stats.stages.observe("admit", admit_seconds)
-            if error is None:
-                with self._stats_lock:
-                    self.stats.completed += 1
-            else:
-                with self._stats_lock:
-                    self.stats.failed += 1
-                    if isinstance(error, DeadlineExceeded):
-                        self.stats.deadline_drops += 1
-                    elif isinstance(error, RequestCancelled):
-                        self.stats.cancelled += 1
-                    if token.lane is not None:
-                        token.lane.stats.failures += 1
-            released = True
-            self._committed()
-            if error is None:
-                self._publish(pending.stream, ResultStream._deliver_result, batch)
-            else:
-                self._publish(pending.stream, ResultStream._deliver_error, error)
+            if token.ready is not None:
+                outcome = self._admit(pending, token.ready)
         finally:
-            if token.pending is not None:
-                self._release_live(token.pending)
-            if not released:
-                self._committed()
+            # Release the in-flight slot before publishing: a client
+            # that has seen its result must also see it reflected in the
+            # stats and gauges.
+            self._release_live(pending)
+            self._committed()
+        if outcome is not None:
+            self._publish(pending.stream, *outcome)
+
+    def _admit(self, pending: PendingRequest, ready: tuple) -> tuple:
+        """Admit staged results; returns the ``(deliver, payload)`` to
+        publish on the request's stream."""
+        _, executor, plan, clips, legal, timings, hits, misses = ready
+        # Last boundary check: a request cancelled (or expired) while it
+        # waited for commit is dropped *before* admission — nothing of
+        # it reaches the session store.
+        boundary = self._boundary_error(pending)
+        if boundary is not None:
+            self._count_failure(boundary)
+            return ResultStream._deliver_error, boundary
+        t0 = time.perf_counter()
+        try:
+            # Narrow protected() scope: the admit site is covered
+            # (errors here are contained to this request), but the
+            # session checkpoint below is not — an env-scoped snapshot
+            # fault must not fail an unrelated request.
+            with protected():
+                maybe_fire("admit")
+            legal_clips = [c for c, ok in zip(clips, legal) if ok]
+            admitted = sum(executor.admit_batch(plan.library, legal_clips))
+            batch = executor.assemble(
+                plan, clips, legal, admitted, timings,
+                cache_hits=hits, cache_misses=misses,
+            )
+            if pending.session_id is not None:
+                session = self.sessions.get(pending.session_id)
+                if session.record_batch() is not None:
+                    with self._stats_lock:
+                        self.stats.checkpoints += 1
+        except Exception as error:  # noqa: BLE001 - surfaced per request
+            self._count_failure(error)
+            outcome = (ResultStream._deliver_error, error)
+        else:
+            with self._stats_lock:
+                self.stats.completed += 1
+            outcome = (ResultStream._deliver_result, batch)
+        self.stats.stages.observe("admit", time.perf_counter() - t0)
+        return outcome
 
     def _committed(self) -> None:
         """Release one in-flight slot and wake a paused gather loop."""

@@ -1,5 +1,9 @@
 """Inference fast path: train/eval parity, cache hygiene, mode plumbing."""
 
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -152,3 +156,70 @@ class TestCacheHygiene:
         from repro.nn.layers import _MAX_WORKSPACES
 
         assert len(conv._workspaces) <= _MAX_WORKSPACES
+
+
+class TestThreadedInference:
+    """Concurrent forwards on separate models must not share temporaries."""
+
+    def test_scratch_buffers_are_per_thread(self):
+        from repro.nn.layers import _scratch
+
+        shape = (2, 3, 5, 5)
+        here = _scratch(shape, np.float32, 0)
+        assert _scratch(shape, np.float32, 0) is here  # reused in-thread
+        other = []
+        thread = threading.Thread(
+            target=lambda: other.append(_scratch(shape, np.float32, 0))
+        )
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert other[0] is not here
+        assert not np.shares_memory(other[0], here)
+
+    def test_concurrent_models_match_serial(self):
+        rng = np.random.default_rng(3)
+        models = [
+            TimeUnet(replace(FULL_CONFIG, seed=seed)) for seed in (11, 12)
+        ]
+        inputs = [
+            (
+                rng.normal(size=(2, 1, 32, 32)).astype(np.float32),
+                np.array([5 + i, 40 + i], dtype=np.int64),
+            )
+            for i in range(len(models))
+        ]
+        serial = []
+        for net, (x, t) in zip(models, inputs):
+            with inference_mode(net):
+                serial.append(net.forward(x, t).copy())
+
+        iterations = 50
+        barrier = threading.Barrier(len(models))
+        mismatches = [0] * len(models)
+
+        def run(i):
+            net, (x, t) = models[i], inputs[i]
+            with inference_mode(net):
+                barrier.wait(timeout=30)
+                for _ in range(iterations):
+                    out = net.forward(x, t)
+                    if not np.array_equal(_bits(out), _bits(serial[i])):
+                        mismatches[i] += 1
+
+        threads = [
+            threading.Thread(target=run, args=(i,))
+            for i in range(len(models))
+        ]
+        # Switch threads often so forwards interleave inside layers.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == [0] * len(models)

@@ -2,7 +2,7 @@
 
 The self-tuning executor's service-level contract: every ``exec_mode``
 (forced serial/pooled/packed and the tuner's ``auto``) serves bit-identical
-results at any lane count, and a fresh service process over a populated
+results, and a fresh service process over a populated
 ``--tuner-dir`` exploits its persisted measurements on the very first
 micro-batch instead of re-exploring.
 """
@@ -53,8 +53,8 @@ _PP_CONFIG = PatternPaintConfig(
 def _pp_factory(deck=None, **tuning):
     """Pack-capable backend over an injected tiny model.
 
-    Accepts the lane kwargs (``jobs``/``model_jobs``/``exec_mode``/
-    ``tuner``) so served runs exercise the full tuning plumb-through.
+    Accepts the service's tuning kwargs (``jobs``/``model_jobs``/
+    ``exec_mode``/``tuner``) so served runs exercise the full tuning plumb-through.
     """
     return PatternPaintBackend(
         deck=deck if deck is not None else basic_deck(GRID),
@@ -93,17 +93,16 @@ def _assert_batches_identical(a, b):
 
 
 class TestServedModeSweep:
-    def test_all_modes_bit_identical_with_lanes(self, deck):
-        """Tentpole: serve the same mixed burst under every exec mode
-        with two worker lanes; every mode must match the serial
-        per-request reference bitwise."""
+    def test_all_modes_bit_identical_on_mixed_keys(self, deck):
+        """Tentpole: serve the same mixed-key burst under every exec
+        mode; every mode must match the serial per-request reference
+        bitwise."""
         group_a = _requests(deck, 2, base_seed=20, params={"flavour": "a"})
         group_b = _requests(deck, 2, base_seed=20, params={"flavour": "b"})
         requests = [group_a[0], group_b[0], group_a[1], group_b[1]]
         reference = [run_generation(request) for request in requests]
         for mode in EXEC_MODES:
             config = ServiceConfig(
-                lanes=2,
                 exec_mode=mode,
                 scheduler=SchedulerConfig(gather_window_s=0.05),
             )

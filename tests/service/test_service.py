@@ -11,6 +11,7 @@ from repro.drc import advanced_deck
 from repro.engine import GenerationRequest, run_generation
 from repro.geometry import Grid
 from repro.service import (
+    STAGES,
     SchedulerConfig,
     ServiceClient,
     ServiceConfig,
@@ -31,6 +32,38 @@ def _requests(deck, n, *, count=5, base_seed=0):
                           deck=deck)
         for i in range(n)
     ]
+
+
+def _mixed_requests(deck, *, keys=3, per_key=2, count=4, base_seed=0):
+    """Requests spanning ``keys`` compatibility keys (distinct params),
+    interleaved in arrival order: key 0, key 1, ..., key 0, key 1, ..."""
+    return [
+        GenerationRequest(
+            backend="rule", count=count, seed=base_seed + 10 * k + j,
+            deck=deck, params={"variant": k},
+        )
+        for j in range(per_key)
+        for k in range(keys)
+    ]
+
+
+def _register_bomb():
+    from repro.engine import register_backend
+
+    class ExplodingBackend:
+        name = "test-bomb"
+
+        def __init__(self, deck=None):
+            self._deck = deck
+
+        @property
+        def deck(self):
+            return self._deck
+
+        def propose(self, request, rng):
+            raise RuntimeError("bomb")
+
+    register_backend("test-bomb", ExplodingBackend, overwrite=True)
 
 
 def _assert_batches_identical(a, b):
@@ -112,6 +145,91 @@ class TestDeterminismUnderConcurrency:
             second = client.generate(twin, session="shared")
         assert first.admitted > 0
         assert second.admitted == 0  # same seed: all duplicates in-session
+
+
+class TestMixedKeyWindows:
+    """One gather window holding several compatibility keys: the engine
+    thread serves it as several micro-batches, grouped by key, yet
+    results and session admissions must follow arrival order."""
+
+    def _config(self):
+        # A wide window so every submission lands in one cycle.
+        return ServiceConfig(
+            scheduler=SchedulerConfig(gather_window_s=0.3)
+        )
+
+    def test_mixed_keys_bit_identical_to_serial(self, deck):
+        requests = _mixed_requests(deck, keys=3, per_key=2, base_seed=100)
+        serial = [run_generation(request) for request in requests]
+        with ServiceClient(self._config()) as client:
+            served = client.generate_many(requests)
+            stats = client.service.stats
+        assert stats.cycles == 1
+        assert stats.micro_batches == 3
+        for reference, got in zip(serial, served):
+            _assert_batches_identical(reference, got)
+
+    def test_interleaved_keys_admit_in_arrival_order(self, deck):
+        """Micro-batches finish grouped by key; the session store must
+        still grow exactly like a serial loop over arrival order."""
+        requests = _mixed_requests(deck, keys=3, per_key=2, base_seed=400)
+        reference = PatternLibrary(name="ref")
+        for request in requests:
+            run_generation(request, library=reference)
+
+        for trial in range(2):
+            with ServiceClient(self._config()) as client:
+                client.generate_many(requests, session="tenant")
+                stats = client.service.stats
+                store = client.service.sessions.get("tenant").store
+            assert stats.cycles == 1, "requests split across windows"
+            assert stats.micro_batches == 3
+            assert len(store) == len(reference)
+            for a, b in zip(reference, store):
+                np.testing.assert_array_equal(a, b)
+
+    def test_failures_inside_a_window_keep_survivor_order(self, deck):
+        """A backend blowing up fails only its requests; co-arriving
+        keys still serve, and the session store matches the serial
+        reference of the surviving requests in arrival order."""
+        _register_bomb()
+        good = _mixed_requests(deck, keys=2, per_key=2, base_seed=500)
+        bad = [
+            GenerationRequest(backend="test-bomb", count=1, deck=deck)
+            for _ in range(2)
+        ]
+        submissions = [good[0], bad[0], good[1], bad[1], good[2], good[3]]
+        reference = PatternLibrary(name="ref")
+        for request in good:
+            run_generation(request, library=reference)
+
+        with ServiceClient(self._config()) as client:
+            tickets = [
+                client.submit(request, session="t") for request in submissions
+            ]
+            for request, ticket in zip(submissions, tickets):
+                if request.backend == "test-bomb":
+                    with pytest.raises(RuntimeError, match="bomb"):
+                        ticket.result(timeout=60)
+                else:
+                    ticket.result(timeout=60)
+            stats = client.service.stats
+            store = client.service.sessions.get("t").store
+            assert len(store) == len(reference)
+            for a, b in zip(reference, store):
+                np.testing.assert_array_equal(a, b)
+        assert stats.failed == len(bad)
+        assert stats.completed == len(good)
+
+    def test_stage_histograms_cover_every_request(self, deck):
+        requests = _mixed_requests(deck, keys=2, per_key=2, base_seed=600)
+        with ServiceClient(self._config()) as client:
+            client.generate_many(requests)
+            stats = client.service.stats
+            depths = client.service.queue_depths()
+        for stage in STAGES:
+            assert stats.stages[stage].count == len(requests), stage
+        assert depths == {"submit": 0, "in_flight": 0}
 
 
 class TestStreaming:

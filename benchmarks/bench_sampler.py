@@ -21,9 +21,11 @@ All modes consume identical per-chunk spawned rng streams, so their
 outputs must be — and are asserted — bit-identical.
 
 Acceptance target (ISSUE 3): the fast path sustains >= 2x the pre-PR
-serial throughput.  A ``BENCH_sampler.json`` trajectory artifact (per-run
-timing samples plus the summary table) is written next to the cached
-experiment results.  Runs standalone
+serial throughput, and the adaptive executor tracks the best fixed mode
+within 1.05x.  A ``BENCH_sampler.json`` artifact at the repo root records
+the host (CPU count, BLAS thread env), a ``gates`` block marking each gate
+``passed``, ``failed`` or ``skipped`` with its reason, per-run timing
+samples and the summary table.  Runs standalone
 (``python benchmarks/bench_sampler.py``) or under pytest.
 """
 
@@ -45,7 +47,7 @@ from repro.diffusion.sampler import strided_timesteps
 from repro.drc import basic_deck
 from repro.engine import BatchExecutor, ExecutionTuner, ExecutorConfig
 from repro.engine.modelpool import InpaintModelSpec, publish_model, run_inpaint_chunk
-from repro.experiments.common import format_table
+from repro.experiments.common import bench_gate, bench_host, format_table
 from repro.geometry import Grid
 from repro.nn import TimeUnet, UNetConfig, inference_mode
 
@@ -325,6 +327,38 @@ def warm_start_demo() -> dict:
     return {"sampler_plan": plan_stats, "checkpoints": checkpoint_stats}
 
 
+#: Throughput gates: name -> ratio floor.  The fast path must sustain
+#: >= 2x the frozen seed sampler; the self-tuning executor must track the best
+#: fixed mode within 1.05x (best fixed seconds / adaptive seconds).
+GATE_FLOORS = {
+    "fast_path_vs_seed_sampler": 2.0,
+    "adaptive_vs_best_fixed": 1 / 1.05,
+}
+
+
+def evaluate_gates(times: dict[str, float]) -> dict:
+    """Mark each gate ``passed``, ``failed`` or ``skipped``, with a reason.
+
+    Only the fast-path gate may be skipped, and only on a single-core host
+    where it falls short: one core cannot express the pooled fan-out, and
+    the inference fast path alone sustains ~1.6-1.8x there.  The adaptive
+    gate compares modes on the same host, so it holds everywhere.
+    """
+    best_fixed = min(times["inference"], times["pooled"])
+    return {
+        "fast_path_vs_seed_sampler": bench_gate(
+            times["pre-PR"] / best_fixed,
+            GATE_FLOORS["fast_path_vs_seed_sampler"],
+            single_core_skip=True,
+        ),
+        "adaptive_vs_best_fixed": bench_gate(
+            best_fixed / times["adaptive"],
+            GATE_FLOORS["adaptive_vs_best_fixed"],
+            single_core_skip=False,
+        ),
+    }
+
+
 def write_artifact(
     times: dict[str, float],
     samples: dict[str, list[float]],
@@ -336,6 +370,8 @@ def write_artifact(
     best_fixed = min(times["inference"], times["pooled"])
     worst_fixed = max(times["inference"], times["pooled"])
     payload = {
+        "host": bench_host(),
+        "gates": evaluate_gates(times),
         "workload": {
             "jobs": NUM_JOBS,
             "model_batch": MODEL_BATCH,
@@ -381,31 +417,33 @@ class TestSamplerThroughput:
     def test_fast_path_at_least_2x_pre_pr(self):
         times, samples, chosen = run_bench()
         path = write_artifact(times, samples, chosen)
+        gates = evaluate_gates(times)
         report(
             "bench_sampler: inpainting sampling modes",
-            render(times) + f"\n[trajectory artifact: {path}]",
+            render(times)
+            + "\ngates: "
+            + "  ".join(
+                f"{name} {gate['status']} ({gate['reason']})"
+                for name, gate in gates.items()
+            )
+            + f"\n[trajectory artifact: {path}]",
         )
         # The self-tuning executor may never lose to the worse fixed mode
         # and must track the better one (pre-seeded cost model => it
         # exploits from the first call; 1.05x absorbs timer noise).
-        best_fixed = min(times["inference"], times["pooled"])
-        assert times["adaptive"] <= 1.05 * best_fixed, (
-            f"adaptive={times['adaptive']:.3f}s best fixed="
-            f"{best_fixed:.3f}s: the tuner must track the fastest mode"
+        adaptive = gates["adaptive_vs_best_fixed"]
+        assert adaptive["status"] == "passed", (
+            f"adaptive_vs_best_fixed: {adaptive['reason']}: the tuner must "
+            "track the fastest mode"
         )
-        fastest = min(times["inference"], times["pooled"])
-        if (os.cpu_count() or 1) < 2 and fastest * 2.0 > times["pre-PR"]:
-            # A single core cannot express the pooled fan-out at all; the
-            # inference fast path alone sustains ~1.6-1.8x there.  The 2x
-            # acceptance gate is enforced where the CI benchmark job runs
-            # (multi-core runners).
-            pytest.skip(
-                f"single-core host: fast path {times['pre-PR'] / fastest:.2f}x "
-                "(pooled model-stage scaling needs >= 2 cores)"
-            )
-        assert fastest * 2.0 <= times["pre-PR"], (
-            f"fast path={fastest:.3f}s pre-PR={times['pre-PR']:.3f}s: the "
-            "sampler fast path must sustain >= 2x pre-PR throughput"
+        # The 2x acceptance gate is enforced wherever pooled model-stage
+        # scaling has >= 2 cores to run on.
+        fast = gates["fast_path_vs_seed_sampler"]
+        if fast["status"] == "skipped":
+            pytest.skip(f"fast_path_vs_seed_sampler: {fast['reason']}")
+        assert fast["status"] == "passed", (
+            f"fast_path_vs_seed_sampler: {fast['reason']}: the sampler fast "
+            "path must sustain >= 2x the seed sampler's throughput"
         )
 
 

@@ -82,7 +82,7 @@ from repro.engine import (
 )
 from repro.engine.modelpool import inpaint_jobs, inpaint_jobs_packed, publish_model
 from repro.engine.packing import chunk_sizes
-from repro.experiments.common import format_table
+from repro.experiments.common import bench_gate, bench_host, format_table
 from repro.geometry import Grid
 from repro.nn import TimeUnet, UNetConfig
 from repro.nn.serialize import load_module_state
@@ -604,27 +604,10 @@ def evaluate_gates(walls, fleet_walls) -> dict:
         "packed_vs_coalesced": walls["coalesced"] / walls["packed"],
         "fleet_vs_single_worker": fleet_walls[1] / fleet_walls[MIXED_KEYS],
     }
-    cpus = os.cpu_count() or 1
-    gates = {}
-    for name, ratio in ratios.items():
-        floor = GATE_FLOORS[name]
-        if ratio >= floor:
-            status, reason = "passed", f"{ratio:.2f}x >= {floor}x"
-        elif cpus < 2:
-            status = "skipped"
-            reason = (
-                f"single-core host: {ratio:.2f}x < {floor}x "
-                "(the gate needs >= 2 CPUs)"
-            )
-        else:
-            status, reason = "failed", f"{ratio:.2f}x < {floor}x"
-        gates[name] = {
-            "status": status,
-            "ratio": round(ratio, 3),
-            "floor": floor,
-            "reason": reason,
-        }
-    return gates
+    return {
+        name: bench_gate(ratio, GATE_FLOORS[name], single_core_skip=True)
+        for name, ratio in ratios.items()
+    }
 
 
 def write_artifact(walls, latencies, stats, trajectory, fleet_walls,
@@ -635,20 +618,7 @@ def write_artifact(walls, latencies, stats, trajectory, fleet_walls,
     packed = stats["packed"]
     multi = fleet_payloads[MIXED_KEYS]
     payload = {
-        # Host shape every number below was measured on: core count plus
-        # the BLAS/OMP thread pinning in effect (unset vars reported as
-        # None), so runs on different machines compare like against like.
-        "host": {
-            "cpus": os.cpu_count(),
-            "thread_env": {
-                name: os.environ.get(name)
-                for name in (
-                    "OPENBLAS_NUM_THREADS",
-                    "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS",
-                )
-            },
-        },
+        "host": bench_host(),
         "gates": evaluate_gates(walls, fleet_walls),
         "workload": {
             "clients": NUM_CLIENTS,

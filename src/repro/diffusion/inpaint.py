@@ -167,10 +167,18 @@ def inpaint_packed(
     batch — amortising the per-step sampling overhead across segments —
     while every noise draw is split per segment
     (:class:`~repro.diffusion.sampler.SegmentedGenerator`), so each
-    segment's output is **bit-identical** to a standalone
-    :func:`inpaint` call over that segment with its own rng.  This is
-    the model stage of cross-request packing: a segment is one request's
-    sampling chunk with its spawned child generator.
+    segment draws exactly the noise of a standalone :func:`inpaint` call
+    over that segment with its own rng.  This is the model stage of
+    cross-request packing: a segment is one request's sampling chunk
+    with its spawned child generator.
+
+    The outputs match a standalone call bit for bit only where the
+    timestep MLP's batched GEMM (``x @ W.T`` over all rows) gives each
+    row the same bits at either row count; under OpenBLAS that depends
+    on the shapes.  With the ``sd1`` model a size-1 segment of a
+    32-sample batch differs from its standalone run by ~1e-6, while its
+    binarized clip is equal.  Convolutions, normalization and attention
+    are computed per sample and never contribute such a difference.
 
     All segments walk one shared coefficient plan, so they must agree on
     ``config`` and ``schedule`` (the service guarantees this by packing

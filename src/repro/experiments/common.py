@@ -39,6 +39,8 @@ __all__ = [
     "scaled",
     "results_dir",
     "bench_dir",
+    "bench_host",
+    "bench_gate",
     "format_table",
     "ModelRun",
     "save_model_run",
@@ -84,6 +86,49 @@ def bench_dir() -> Path:
         path = Path(__file__).resolve().parents[3]
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def bench_host() -> dict:
+    """The host shape a ``BENCH_*.json`` artifact was measured on: core
+    count plus the BLAS/OMP thread pinning in effect (unset variables
+    reported as ``None``), so runs on different machines compare like
+    against like."""
+    return {
+        "cpus": os.cpu_count(),
+        "thread_env": {
+            name: os.environ.get(name)
+            for name in (
+                "OPENBLAS_NUM_THREADS",
+                "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS",
+            )
+        },
+    }
+
+
+def bench_gate(ratio: float, floor: float, *, single_core_skip: bool) -> dict:
+    """One benchmark gate's verdict: ``passed`` when ``ratio >= floor``.
+
+    With ``single_core_skip`` a shortfall on a single-core host is
+    ``skipped`` instead of ``failed``: the gate measures a parallel
+    mechanism that one core cannot express.
+    """
+    if ratio >= floor:
+        status, reason = "passed", f"{ratio:.2f}x >= {floor:.3g}x"
+    elif single_core_skip and (os.cpu_count() or 1) < 2:
+        status = "skipped"
+        reason = (
+            f"single-core host: {ratio:.2f}x < {floor:.3g}x "
+            "(the gate needs >= 2 CPUs)"
+        )
+    else:
+        status, reason = "failed", f"{ratio:.2f}x < {floor:.3g}x"
+    return {
+        "status": status,
+        "ratio": round(ratio, 3),
+        "floor": floor,
+        "reason": reason,
+    }
 
 
 def format_table(

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "Run",
@@ -113,6 +112,8 @@ def connected_components(img: np.ndarray) -> tuple[np.ndarray, int]:
     physical metal connectivity (diagonal touch is not an electrical short in
     Manhattan layouts).
     """
+    from scipy import ndimage  # deferred: importing it costs ~0.35 s
+
     binary = as_binary(img)
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
     labels, count = ndimage.label(binary, structure=structure)

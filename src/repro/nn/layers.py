@@ -1,22 +1,25 @@
 """Primitive layers with explicit backward rules.
 
 All spatial layers use NCHW layout and ``float32``.  Convolutions are
-implemented with ``sliding_window_view`` + ``tensordot`` (an im2col variant
-that never materializes the column matrix), which is the fastest pure-numpy
-formulation for the small kernels used here.  Every backward rule is
-verified against finite differences in ``tests/nn/test_gradients.py``.
+GEMM-based: the input is lowered to an explicit column matrix with
+``k * k`` contiguous block copies (im2col) and multiplied by the weight
+matrix with one stacked ``np.matmul``, which issues one GEMM per sample;
+the backward pass scatters column gradients back (col2im).  Every backward
+rule is verified against finite differences in ``tests/nn/test_gradients.py``.
 
 Every layer also carries an inference fast path, taken when
 ``module.training`` is false (``Module.eval()`` / ``inference_mode``):
-no backward caches are recorded, the padded-input and im2col buffers are
-preallocated once per input shape and reused across timesteps, and the
-sigmoid inside :class:`SiLU` switches from masked fancy indexing to a
-vectorised formulation.  Both paths are bit-identical — the fast sigmoid
-evaluates exactly the same stable expressions (``exp(-|x|)`` equals
-``exp(-x)`` on the positive branch and ``exp(x)`` on the negative one),
-and workspace reuse only changes *where* results are written, never the
-operations — which is what lets sampling run through ``eval()`` without
-perturbing a single generated pattern.
+no backward caches are recorded, the output, padded-input and column
+buffers are preallocated once per input shape and reused across
+timesteps, spatial convs run in cache-sized sub-batches
+(:data:`_BLOCK_BYTES`), and the sigmoid inside :class:`SiLU` switches from
+masked fancy indexing to an allocation-free vectorised formulation.  Both
+paths are bit-identical — the fast sigmoid evaluates exactly the same
+stable expressions (``exp(-|x|)`` equals ``exp(-x)`` on the positive
+branch and ``exp(x)`` on the negative one), per-sample GEMMs do the same
+arithmetic at any block size, and workspace reuse only changes *where*
+results are written, never the operations — which is what lets sampling
+run through ``eval()`` without perturbing a single generated pattern.
 """
 
 from __future__ import annotations
@@ -44,6 +47,11 @@ __all__ = [
 #: Workspace cache entries kept per layer (distinct input shapes seen in
 #: inference mode; sampling uses one full-batch shape plus a tail chunk).
 _MAX_WORKSPACES = 4
+
+#: Column-buffer budget of one inference conv block (bytes).  A block's
+#: im2col matrix stays cache-resident between its copies and its GEMM;
+#: a sample whose columns alone exceed the budget runs as a block of one.
+_BLOCK_BYTES = 2**20
 
 #: Per-thread scratch buffers for inference-mode elementwise temporaries.
 #: Entries live only within a single layer call, and each thread keeps its
@@ -83,9 +91,14 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
         num = np.where(x >= 0, x.dtype.type(1.0), e)
         return num / (1.0 + e)
     e = _scratch(x.shape, np.float32, 0)
-    np.copysign(x, np.float32(-1.0), out=e)  # -|x| in a single pass
+    num = _scratch(x.shape, np.float32, 1)
+    np.abs(x, out=e)
+    np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.where(x >= 0, np.float32(1.0), e)
+    # 0 <= e <= 1, so max(e, [x >= 0]) is exactly 1.0 or e (a NaN e stays
+    # NaN): the np.where select without its fresh array.
+    np.greater_equal(x, 0, out=num, casting="unsafe")
+    np.maximum(e, num, out=num)
     np.add(e, np.float32(1.0), out=e)  # e becomes the shared denominator
     np.divide(num, e, out=num)
     return num
@@ -159,6 +172,13 @@ class Conv2d(Module):
     def _forward_inference(self, x: np.ndarray) -> np.ndarray:
         """No-cache forward reusing per-shape pad/im2col/output workspaces.
 
+        Spatial kernels run in sub-batches whose column matrix fits
+        :data:`_BLOCK_BYTES` (at least one sample each): each block is
+        padded, lowered to columns and multiplied while its columns are
+        still in cache, then gets its bias added in place.  The stacked ``matmul`` issues one
+        GEMM per sample whatever the block size, so blocking changes no
+        bit of the result.
+
         The output buffer is part of the workspace: it is valid until this
         layer's next inference forward.  Inside :class:`TimeUnet` every
         layer runs exactly once per forward and the network's final output
@@ -172,6 +192,9 @@ class Conv2d(Module):
         out_h = h + 2 * pad - k + 1
         out_w = w + 2 * pad - k + 1
         pointwise = k == 1 and pad == 0
+        # Pointwise convs have no column buffer to keep in cache: one block.
+        fit = _BLOCK_BYTES // (c * k * k * out_h * out_w * 4)
+        block = max(1, n if pointwise else min(n, fit))
         ws = self._workspaces.get(x.shape)
         if ws is None:
             if len(self._workspaces) >= _MAX_WORKSPACES:
@@ -183,36 +206,38 @@ class Conv2d(Module):
             }
             if not pointwise:
                 ws["cols"] = np.empty(
-                    (n, c, k, k, out_h, out_w), dtype=np.float32
+                    (block, c, k, k, out_h, out_w), dtype=np.float32
                 )
                 if pad:
                     # Border stays zero forever; only the interior is
                     # rewritten on each call.
                     ws["xp"] = np.zeros(
-                        (n, c, h + 2 * pad, w + 2 * pad), dtype=np.float32
+                        (block, c, h + 2 * pad, w + 2 * pad), dtype=np.float32
                     )
             self._workspaces[x.shape] = ws
-        if pointwise:
-            # Pointwise conv: the im2col matrix IS the input, no copies.
-            cols = x.reshape(n, c, h * w)
-        else:
-            if pad:
-                xp = ws["xp"]
-                xp[:, :, pad : h + pad, pad : w + pad] = x
-            else:
-                xp = x
-            cols6 = ws["cols"]
-            for i in range(k):
-                for j in range(k):
-                    cols6[:, :, i, j] = xp[:, :, i : i + out_h, j : j + out_w]
-            cols = cols6.reshape(n, c * k * k, out_h * out_w)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         out = ws["out"]
-        np.matmul(w_mat, cols, out=out)
-        out = out.reshape(n, self.out_channels, out_h, out_w)
-        if self.bias is not None:
-            out += self.bias.data[None, :, None, None]
-        return out
+        for b0 in range(0, n, block):
+            b1 = min(n, b0 + block)
+            if pointwise:
+                # Pointwise conv: the im2col matrix IS the input, no copies.
+                cols = x[b0:b1].reshape(b1 - b0, c, h * w)
+            else:
+                if pad:
+                    xp = ws["xp"][: b1 - b0]
+                    xp[:, :, pad : h + pad, pad : w + pad] = x[b0:b1]
+                else:
+                    xp = x[b0:b1]
+                cols6 = ws["cols"][: b1 - b0]
+                for i in range(k):
+                    for j in range(k):
+                        cols6[:, :, i, j] = xp[:, :, i : i + out_h, j : j + out_w]
+                cols = cols6.reshape(b1 - b0, c * k * k, out_h * out_w)
+            out_blk = out[b0:b1]
+            np.matmul(w_mat, cols, out=out_blk)
+            if self.bias is not None:
+                out_blk += self.bias.data[None, :, None]
+        return out.reshape(n, self.out_channels, out_h, out_w)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         cols, x_shape, (out_h, out_w) = self._cache

@@ -9,7 +9,7 @@ import pytest
 
 from repro.diffusion import InpaintConfig, inpaint, linear_schedule
 from repro.nn import Conv2d, GroupNorm, SiLU, TimeUnet, UNetConfig, inference_mode
-from repro.nn.layers import gn_silu
+from repro.nn.layers import _BLOCK_BYTES, _stable_sigmoid, gn_silu
 
 FULL_CONFIG = UNetConfig(
     image_size=32,
@@ -82,6 +82,73 @@ class TestForwardParity:
         np.testing.assert_array_equal(_bits(ref), _bits(act(norm(x)).copy()))
         # The fused pair used inside eval-mode ResBlocks.
         np.testing.assert_array_equal(_bits(ref), _bits(gn_silu(norm, x).copy()))
+
+
+def _block_size(c, k, out_h, out_w):
+    return _BLOCK_BYTES // (c * k * k * out_h * out_w * 4)
+
+
+class TestBlockedConv:
+    """Inference convs run in cache-sized sub-batches; the blocks must not
+    change a bit, whichever side of a block boundary the batch falls on."""
+
+    @pytest.mark.parametrize("k,pad", [(3, 1), (3, 0), (1, 0)])
+    def test_bit_identical_around_block_boundaries(self, k, pad):
+        rng = np.random.default_rng(k * 10 + pad)
+        c, h = 8, 16
+        out_hw = h + 2 * pad - k + 1
+        s = _block_size(c, k, out_hw, out_hw)
+        assert 2 <= s < 200  # the batches below straddle real boundaries
+        conv = Conv2d(c, 6, k, rng, padding=pad)
+        conv.bias.data[:] = rng.normal(size=6).astype(np.float32)
+        for n in (1, s - 1, s, s + 1, 2 * s + 1):
+            x = rng.normal(size=(n, c, h, h)).astype(np.float32)
+            conv.train()
+            ref = conv.forward(x)
+            conv.eval()
+            out = conv.forward(x).copy()
+            assert out.shape == (n, 6, out_hw, out_hw)
+            np.testing.assert_array_equal(_bits(ref), _bits(out))
+
+    def test_column_workspace_within_block_budget(self):
+        """A full-batch column buffer for this UNet layer would be 56 MB;
+        the workspace keeps one block (here a single 1.8 MB sample)."""
+        rng = np.random.default_rng(1)
+        for shape in ((32, 48, 32, 32), (32, 16, 16, 16)):
+            n, c, h, w = shape
+            conv = Conv2d(c, c, 3, rng)
+            conv.eval()
+            conv.forward(np.zeros(shape, dtype=np.float32))
+            ws = conv._workspaces[shape]
+            per_sample = ws["cols"].nbytes // ws["cols"].shape[0]
+            assert ws["cols"].nbytes <= max(_BLOCK_BYTES, per_sample)
+            assert ws["cols"].shape[0] == max(1, _block_size(c, 3, h, w)) < n
+            assert ws["xp"].shape[0] == ws["cols"].shape[0]
+
+
+class TestSigmoidBits:
+    def test_matches_training_sigmoid_on_edge_values(self):
+        f32 = np.float32
+        tiny = np.finfo(f32).tiny
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+        edges += [tiny, -tiny, tiny / 2, -tiny / 2, 1e-45, -1e-45]
+        # exp() overflows past ~88.72, goes subnormal below ~-87.34 and
+        # underflows to zero below ~-103.97 -- probe both sides of each.
+        for edge in (88.72, 87.34, 103.97, 104.0):
+            for v in (edge, -edge):
+                v = f32(v)
+                edges += [np.nextafter(v, f32(-np.inf)), v]
+                edges += [np.nextafter(v, f32(np.inf))]
+        x = np.array(edges, dtype=f32)
+        rng = np.random.default_rng(0)
+        x = np.concatenate([x, rng.normal(scale=40, size=4096).astype(f32)])
+        act = SiLU()
+        act.train()
+        with np.errstate(all="ignore"):  # exp underflow, inf * 0 in x * sig
+            act.forward(x)
+            fast = _stable_sigmoid(x).copy()
+        ref = act._cache[1]
+        np.testing.assert_array_equal(_bits(ref), _bits(fast))
 
 
 class TestModeSwitching:

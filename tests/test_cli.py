@@ -1,10 +1,34 @@
 """Unit tests for the command-line interface (library-level commands)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.io import load_clips
+
+
+class TestImportCost:
+    def test_cli_import_defers_scipy_ndimage(self):
+        """``scipy.ndimage`` costs ~0.35 s to import; only labelling and
+        NL-means use it, so starting the CLI must not load it."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = "import sys, repro.cli; print('scipy.ndimage' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestParser:
